@@ -13,9 +13,14 @@
 //      degree, same pattern, same label count), so the claim is isolated.
 //   4. batch vs one-by-one: ApplyBatch collects affected centers once
 //      across the batch, so overlapping neighborhoods repair cheaper.
+//   5. snapshot_publish: every version a serving writer publishes is one
+//      MutableGraph::Snapshot(), built in one bulk pass; timed against
+//      the AddEdge + Finalize() rebuild of the same content, kept here as
+//      the reference.
 //
 // Emits BENCH_incremental_updates.json for tools/bench_trend.py.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -26,6 +31,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "graph/generator.h"
+#include "graph/mutable_graph.h"
 #include "quality/table_printer.h"
 
 namespace {
@@ -90,6 +96,25 @@ UpdateRun DriveUpdates(const Engine& engine, const PreparedQuery& prepared,
     run.updates_applied = 0;
   }
   return run;
+}
+
+// The reference MutableGraph::Snapshot() is timed against: every edge
+// pushed through AddEdge, then Finalize().
+Graph SnapshotThroughFinalize(const MutableGraph& m) {
+  Graph g;
+  for (NodeId v = 0; v < m.num_nodes(); ++v) g.AddNode(m.label(v));
+  for (NodeId v = 0; v < m.num_nodes(); ++v) {
+    const auto nbrs = m.OutNeighbors(v);
+    const auto elabels = m.OutEdgeLabels(v);
+    for (size_t i = 0; i < nbrs.size(); ++i) g.AddEdge(v, nbrs[i], elabels[i]);
+  }
+  g.Finalize();
+  return g;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 }  // namespace
@@ -188,6 +213,70 @@ int main() {
   report.Add("batch_10_edits", batch_seconds);
   report.Add("singles_10_edits", singles_seconds);
 
+  // -- snapshot_publish ---------------------------------------------------
+  // The serving writer's graph shape (20k uniform nodes, alpha 1.2, 200
+  // labels) after 200 random labeled edits, so some rows are out of order
+  // and some targets carry parallel labels. The two builds are
+  // interleaved and each takes the median of its repetitions.
+  constexpr uint32_t kSnapshotNodes = 20000;
+  constexpr int kSnapshotReps = 9;
+  MutableGraph live(MakeUniform(kSnapshotNodes, 1.2, 200, /*seed=*/29));
+  Rng edit_rng(31);
+  for (int applied = 0; applied < 200;) {
+    const NodeId u = static_cast<NodeId>(edit_rng.Uniform(kSnapshotNodes));
+    const NodeId v = static_cast<NodeId>(edit_rng.Uniform(kSnapshotNodes));
+    const EdgeLabel label = static_cast<EdgeLabel>(edit_rng.Uniform(3));
+    const bool ok = edit_rng.Bernoulli(0.7) || live.OutDegree(u) == 0
+                        ? live.InsertEdge(u, v, label).ok()
+                        : live.RemoveEdge(u, live.OutNeighbors(u)[0],
+                                          live.OutEdgeLabels(u)[0])
+                              .ok();
+    applied += ok;
+  }
+  const bool snapshots_equal = [&live] {
+    const Graph bulk = live.Snapshot();
+    const Graph reference = SnapshotThroughFinalize(live);
+    return bulk.StructurallyEqual(reference, /*compare_edge_labels=*/true) &&
+           bulk.ContentHash() == reference.ContentHash();
+  }();
+  // Each timed graph is freed outside its timer; the order alternates so
+  // neither build always runs on the heap the other just released.
+  const auto seconds_of = [&live](auto build) {
+    Timer timer;
+    const Graph built = build(live);
+    return timer.Seconds();
+  };
+  std::vector<double> bulk_seconds, reference_seconds;
+  for (int rep = 0; rep < kSnapshotReps; ++rep) {
+    const auto time_bulk = [&] {
+      bulk_seconds.push_back(
+          seconds_of([](const MutableGraph& m) { return m.Snapshot(); }));
+    };
+    const auto time_reference = [&] {
+      reference_seconds.push_back(seconds_of(SnapshotThroughFinalize));
+    };
+    if (rep % 2 == 0) {
+      time_bulk();
+      time_reference();
+    } else {
+      time_reference();
+      time_bulk();
+    }
+  }
+  const double bulk_median = Median(bulk_seconds);
+  const double reference_median = Median(reference_seconds);
+  const double snapshot_speedup =
+      bulk_median > 0 ? reference_median / bulk_median : 0;
+  std::printf("\nsnapshot of %s nodes, %s edges: bulk %.2f ms, "
+              "AddEdge + Finalize %.2f ms (%.1fx; median of %d)\n",
+              WithThousandsSeparators(live.num_nodes()).c_str(),
+              WithThousandsSeparators(live.num_edges()).c_str(),
+              bulk_median * 1e3, reference_median * 1e3, snapshot_speedup,
+              kSnapshotReps);
+  const std::string snapshot_tag = "V=" + std::to_string(kSnapshotNodes);
+  report.Add("snapshot_bulk/" + snapshot_tag, bulk_median);
+  report.Add("snapshot_finalize_reference/" + snapshot_tag, reference_median);
+
   // -- SHAPE-CHECK --------------------------------------------------------
   const double size_blowup =
       runs[0].mean_update_seconds > 0
@@ -211,5 +300,11 @@ int main() {
   bench::ShapeCheck(
       batch_affected <= singles_affected,
       "ApplyBatch repairs overlapping neighborhoods at most once");
+  bench::ShapeCheck(snapshots_equal,
+                    "the bulk snapshot equals the AddEdge + Finalize() "
+                    "rebuild (edges, edge labels, content hash)");
+  bench::ShapeCheck(snapshot_speedup >= 2.0,
+                    "the bulk snapshot is >= 2x faster than the AddEdge + "
+                    "Finalize() rebuild");
   return 0;
 }

@@ -143,9 +143,16 @@ class IncrementalSession {
   /// Registers `subscriber` (replacing any previous one; null clears) to
   /// receive the memoized (snapshot, version) pair after every applied
   /// update that changed the data version — the push half of the serving
-  /// seam. Note each delivery materializes the snapshot (O(V + E)), so
-  /// subscribers are for writers that publish every batch, not for
-  /// high-frequency single edits.
+  /// seam. Note each delivery materializes the snapshot (O(V + E), one
+  /// bulk MutableGraph::Snapshot()), so subscribers are for writers that
+  /// publish every batch, not for high-frequency single edits. On a
+  /// 20k-node, 145k-edge graph with 4 edits per write (traced perfbench
+  /// serve_churn, seed 1, 4-core Xeon VM) the write p50 is 18.0 ms: the
+  /// snapshot 11.2 ms, the O(affected balls) repair 4.8 ms, and the
+  /// publish, reclaim and session bookkeeping 2.2 ms. The snapshot
+  /// was 35.8 ms of 45.0 ms when it was built through AddEdge +
+  /// Finalize(); what is left of it is mostly allocating the per-node
+  /// rows.
   void SubscribeSnapshots(SnapshotSubscriber subscriber);
 
   /// data().version() — bumped by every applied edit; the snapshot memo

@@ -34,19 +34,7 @@ CsrGraph CsrGraph::FromGraph(const Graph& g) {
   return csr;
 }
 
-Graph CsrGraph::ToGraph() const {
-  Graph g;
-  for (Label l : labels_) g.AddNode(l);
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    auto nbrs = OutNeighbors(v);
-    auto elabels = OutEdgeLabels(v);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      g.AddEdge(v, nbrs[i], elabels[i]);
-    }
-  }
-  g.Finalize();
-  return g;
-}
+Graph CsrGraph::ToGraph() const { return Graph::BuildFinalized(*this); }
 
 bool CsrGraph::HasEdge(NodeId u, NodeId v) const {
   GPM_CHECK_LT(u, num_nodes());

@@ -26,7 +26,8 @@ class CsrGraph {
   /// Snapshots a finalized Graph.
   static CsrGraph FromGraph(const Graph& g);
 
-  /// Expands back into a (finalized) Graph.
+  /// Expands back into a (finalized) Graph, in the same one-pass bulk
+  /// build as MutableGraph::Snapshot() (the rows are already sorted).
   Graph ToGraph() const;
 
   size_t num_nodes() const { return labels_.size(); }

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <numeric>
 
 #include "common/logging.h"
+#include "graph/csr_graph.h"
+#include "graph/mutable_graph.h"
 
 namespace gpm {
 
@@ -53,8 +56,6 @@ void Graph::AddEdge(NodeId u, NodeId v, EdgeLabel label) {
 
 void Graph::Finalize() {
   if (finalized_) return;
-  static std::atomic<uint64_t> next_instance_id{0};
-  instance_id_ = next_instance_id.fetch_add(1, std::memory_order_relaxed) + 1;
   size_t edges = 0;
   // Scratch hoisted out of the per-node loop: finalizing thousands of
   // small ball graphs must not allocate three vectors per node.
@@ -92,6 +93,72 @@ void Graph::Finalize() {
     std::sort(in_[v].begin(), in_[v].end());
   }
   num_edges_ = edges;
+  Seal();
+}
+
+template <typename Adjacency>
+Graph Graph::BuildFinalized(const Adjacency& src) {
+  static_assert(sizeof(NodeId) <= 4 && sizeof(EdgeLabel) <= 4,
+                "rows sort as packed 64-bit (target, edge label) keys");
+  Graph g;
+  const size_t n = src.num_nodes();
+  g.labels_.resize(n);
+  for (NodeId v = 0; v < n; ++v) g.labels_[v] = src.label(v);
+  g.out_.resize(n);
+  g.out_labels_.resize(n);
+  g.in_.resize(n);
+  std::vector<uint32_t> in_degree(n, 0);
+  // A row that is not strictly increasing is sorted as packed
+  // (target << 32 | edge label) keys: a run of one target then starts at
+  // its smallest label, the one Finalize() keeps.
+  std::vector<uint64_t> keys;
+  size_t edges = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const auto nbrs = src.OutNeighbors(v);
+    const auto elabels = src.OutEdgeLabels(v);
+    auto& out = g.out_[v];
+    auto& out_labels = g.out_labels_[v];
+    if (std::adjacent_find(nbrs.begin(), nbrs.end(),
+                           std::greater_equal<NodeId>()) == nbrs.end()) {
+      out.assign(nbrs.begin(), nbrs.end());
+      out_labels.assign(elabels.begin(), elabels.end());
+    } else {
+      keys.resize(nbrs.size());
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        keys[i] = (uint64_t{nbrs[i]} << 32) | elabels[i];
+      }
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end(),
+                             [](uint64_t a, uint64_t b) {
+                               return (a >> 32) == (b >> 32);
+                             }),
+                 keys.end());
+      out.resize(keys.size());
+      out_labels.resize(keys.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        out[i] = static_cast<NodeId>(keys[i] >> 32);
+        out_labels[i] = static_cast<EdgeLabel>(keys[i]);
+      }
+    }
+    for (NodeId t : out) ++in_degree[t];
+    edges += out.size();
+  }
+  // Filled in ascending source order, so every in-row comes out sorted.
+  for (NodeId v = 0; v < n; ++v) g.in_[v].reserve(in_degree[v]);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId t : g.out_[u]) g.in_[t].push_back(u);
+  }
+  g.num_edges_ = edges;
+  g.Seal();
+  return g;
+}
+
+template Graph Graph::BuildFinalized(const MutableGraph&);
+template Graph Graph::BuildFinalized(const CsrGraph&);
+
+void Graph::Seal() {
+  static std::atomic<uint64_t> next_instance_id{0};
+  instance_id_ = next_instance_id.fetch_add(1, std::memory_order_relaxed) + 1;
 
   // Label index: nodes sorted by (label, id), sliced per distinct label.
   const size_t n = labels_.size();

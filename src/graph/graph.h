@@ -4,7 +4,9 @@
 // Lifecycle: build with AddNode/AddEdge, then Finalize(). Finalize sorts
 // adjacency lists (enabling O(log d) HasEdge), removes parallel edges, and
 // builds the label index. All matching algorithms require a finalized graph;
-// they GPM_CHECK this.
+// they GPM_CHECK this. Whole-graph copies out of another adjacency
+// (MutableGraph::Snapshot, CsrGraph::ToGraph) skip AddEdge and Finalize()
+// through one bulk pass that builds the same finalized graph.
 
 #ifndef GPM_GRAPH_GRAPH_H_
 #define GPM_GRAPH_GRAPH_H_
@@ -149,6 +151,25 @@ class Graph {
 
  private:
   friend class GraphBuilderForIO;
+  friend class MutableGraph;
+  friend class CsrGraph;
+
+  /// Builds the finalized graph with the content of `src` (any adjacency
+  /// exposing num_nodes / label / OutNeighbors / OutEdgeLabels) in one
+  /// pass, equal to AddNode + AddEdge of every edge followed by
+  /// Finalize(), without the per-edge pushes or Finalize()'s index sort:
+  /// already-sorted rows are copied as they are, every row is allocated
+  /// once at its final size, and in-rows are counted out of the
+  /// deduplicated out-rows in ascending source order, so they come out
+  /// sorted. The whole-graph materialization path
+  /// (MutableGraph::Snapshot, CsrGraph::ToGraph).
+  template <typename Adjacency>
+  static Graph BuildFinalized(const Adjacency& src);
+
+  /// The finalized-graph invariants both Finalize() and BuildFinalized()
+  /// end with: builds the label index over labels_, stamps a fresh
+  /// instance_id and marks the graph finalized.
+  void Seal();
 
   std::vector<Label> labels_;
   // Adjacency vectors may outlive labels_ across ResetForReuse(): only the

@@ -84,16 +84,6 @@ bool MutableGraph::HasEdge(NodeId u, NodeId v, EdgeLabel label) const {
   return false;
 }
 
-Graph MutableGraph::Snapshot() const {
-  Graph g;
-  for (Label l : labels_) g.AddNode(l);
-  for (NodeId v = 0; v < out_.size(); ++v) {
-    for (size_t i = 0; i < out_[v].size(); ++i) {
-      g.AddEdge(v, out_[v][i], out_labels_[v][i]);
-    }
-  }
-  g.Finalize();
-  return g;
-}
+Graph MutableGraph::Snapshot() const { return Graph::BuildFinalized(*this); }
 
 }  // namespace gpm

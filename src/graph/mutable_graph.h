@@ -92,8 +92,15 @@ class MutableGraph {
 
   /// Materializes the current content as a finalized Graph (O(V + E)) —
   /// the interop point with everything keyed on immutable graphs
-  /// (from-scratch matchers, the engine caches). Parallel edges collapse
-  /// per neighbor, exactly as Graph::Finalize() does.
+  /// (from-scratch matchers, the engine caches), and the cost of every
+  /// version a serving writer publishes. One bulk pass: labels copied
+  /// once, each out-row sorted only when it is out of order and written
+  /// into a row allocated at its exact size, in-rows counted out of the
+  /// deduplicated out-rows already sorted, the label index built once.
+  /// No AddEdge and no Finalize(), but the same graph they would build:
+  /// parallel edges collapse per neighbor to the smallest edge label,
+  /// exactly as Graph::Finalize() does. Every call stamps a fresh
+  /// instance_id.
   Graph Snapshot() const;
 
  private:

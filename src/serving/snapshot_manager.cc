@@ -1,6 +1,7 @@
 #include "serving/snapshot_manager.h"
 
 #include <utility>
+#include <vector>
 
 namespace gpm::serving {
 
@@ -33,54 +34,58 @@ SnapshotManager::Pin SnapshotManager::Reader::PinSnapshot() {
   if (slot_ == nullptr) return Pin();
   assert(slot_->epoch.load(std::memory_order_relaxed) == kQuiescent &&
          "one live Pin per Reader");
-  // Announce-then-verify: re-announce until the global epoch holds still
-  // across the announcement. Not needed for safety (see the file comment's
-  // ordering argument) but keeps the announced epoch tight, so reclamation
-  // is never held back by a stale announcement.
-  uint64_t e = manager_->epoch_.load(std::memory_order_seq_cst);
-  for (;;) {
-    slot_->epoch.store(e, std::memory_order_seq_cst);
-    const uint64_t now = manager_->epoch_.load(std::memory_order_seq_cst);
-    if (now == e) break;
-    e = now;
-  }
+  // Announce one epoch below the one read: a Publish may have advanced
+  // the epoch to e without yet swapping in version e, so the head loaded
+  // next is version e - 1 or newer. Then tighten the announcement to the
+  // version actually held, so reclamation is never held back by the
+  // conservative first guess (see the file comment's ordering argument).
+  const uint64_t e = manager_->epoch_.load(std::memory_order_seq_cst);
+  slot_->epoch.store(e - 1, std::memory_order_seq_cst);
   const VersionNode* node = manager_->head_.load(std::memory_order_seq_cst);
+  slot_->epoch.store(node->epoch, std::memory_order_seq_cst);
   return Pin(slot_, node);
 }
 
 void SnapshotManager::Publish(std::shared_ptr<const Graph> next) {
   assert(next != nullptr);
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  auto node = std::make_unique<VersionNode>();
-  node->graph = std::move(next);
-  node->epoch = epoch_.load(std::memory_order_relaxed) + 1;
-  // Head first, then the epoch: a reader that announces the new epoch is
-  // thereby guaranteed to load the new head (see the ordering contract).
-  head_.store(node.get(), std::memory_order_seq_cst);
-  epoch_.store(node->epoch, std::memory_order_seq_cst);
-  head_owner_->retire_epoch = node->epoch;
-  retired_.push_back(std::move(head_owner_));
-  head_owner_ = std::move(node);
-  published_.fetch_add(1, std::memory_order_relaxed);
-  ReclaimLocked();
+  std::vector<std::unique_ptr<VersionNode>> drained;
+  {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    auto node = std::make_unique<VersionNode>();
+    node->graph = std::move(next);
+    node->epoch = epoch_.load(std::memory_order_relaxed) + 1;
+    // Epoch first, then the head: a reader never holds a version newer
+    // than the epoch it can read (see the ordering contract).
+    epoch_.store(node->epoch, std::memory_order_seq_cst);
+    head_.store(node.get(), std::memory_order_seq_cst);
+    head_owner_->retire_epoch = node->epoch;
+    retired_.push_back(std::move(head_owner_));
+    head_owner_ = std::move(node);
+    published_.fetch_add(1, std::memory_order_relaxed);
+    DrainLocked(&drained);
+  }
+  // `drained` destroys its snapshots here, after the unlock.
 }
 
 size_t SnapshotManager::TryReclaim() {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return ReclaimLocked();
+  std::vector<std::unique_ptr<VersionNode>> drained;
+  {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    DrainLocked(&drained);
+  }
+  return drained.size();
 }
 
-size_t SnapshotManager::ReclaimLocked() {
+void SnapshotManager::DrainLocked(
+    std::vector<std::unique_ptr<VersionNode>>* drained) {
   const uint64_t floor = OldestAnnounced();
-  size_t freed = 0;
   // retired_ is in retire-epoch order, so the drained prefix is exactly
   // what is freeable.
   while (!retired_.empty() && retired_.front()->retire_epoch <= floor) {
+    drained->push_back(std::move(retired_.front()));
     retired_.pop_front();
-    ++freed;
   }
-  if (freed > 0) reclaimed_.fetch_add(freed, std::memory_order_relaxed);
-  return freed;
+  reclaimed_.fetch_add(drained->size(), std::memory_order_relaxed);
 }
 
 uint64_t SnapshotManager::OldestAnnounced() const {

@@ -4,8 +4,8 @@
 //
 // Roles:
 //   - The writer Publish()es finalized snapshots (typically the memoized
-//     IncrementalSession::PublishSnapshot() product). Publishing installs
-//     the new snapshot, advances the global epoch, and retires the old
+//     IncrementalSession::PublishSnapshot() product). Publishing advances
+//     the global epoch, installs the new snapshot, and retires the old
 //     snapshot onto a deferred-free list. The writer never waits for
 //     readers: Publish is a pointer swap plus list bookkeeping.
 //   - A reader registers once (RegisterReader -> a Reader slot), then pins
@@ -21,12 +21,22 @@
 //
 // Memory-ordering contract (all protocol ops are seq_cst; they run once
 // per request / per publish, so the fence cost is noise): the writer
-// stores the new head *before* advancing the epoch, and a reader announces
-// its epoch *before* loading the head. In the seq_cst total order, a
-// reader that loaded the pre-publish head must have read the pre-publish
-// epoch — so its announced epoch is < the retire epoch, and the retired
-// snapshot is held back. Conversely, once every announced epoch reaches
-// the retire epoch, no pin can reference it and the free is safe.
+// advances the epoch *before* storing the new head, so a pinned version's
+// epoch never exceeds the epoch a reader can read afterwards. A reader
+// reads epoch e, announces e - 1, loads the head, then re-announces the
+// loaded version's own epoch. The first announcement is the safe one: the
+// version e - 1 was installed before epoch e was stored, so the head
+// loaded after reading e is version e - 1 or newer, and a version retired
+// at epoch R <= e - 1 is no longer loadable. In the seq_cst total order, a
+// reclaim pass that frees version R - 1 (retired at R) either scanned the
+// slot before the first announcement — then it ran after R's head store,
+// and the reader loads version R or newer — or saw an announcement >= R,
+// which rules out holding R - 1 at both steps. The second announcement
+// only tightens the slot to the version actually held, so a reader that
+// pinned the newest version never holds back the one it replaced.
+//
+// Reclaimed versions are detached under the writer lock and destroyed
+// after it is released, so a stats() call never waits out a free.
 //
 // Limits: one live Pin per Reader at a time (re-pinning re-announces the
 // slot); the slot table is fixed at construction (RegisterReader fails
@@ -42,6 +52,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "graph/graph.h"
 
@@ -158,8 +169,8 @@ class SnapshotManager {
     bool valid() const { return slot_ != nullptr; }
 
     /// Announces this reader's epoch and borrows the current snapshot.
-    /// Wait-free with respect to the writer (a Publish racing the
-    /// announce just re-announces; both outcomes are safe).
+    /// Wait-free: one epoch load, one head load and two announcements,
+    /// whatever the writer is doing (see the ordering contract).
     Pin PinSnapshot();
 
    private:
@@ -212,7 +223,9 @@ class SnapshotManager {
   uint64_t epoch() const { return epoch_.load(std::memory_order_seq_cst); }
 
  private:
-  size_t ReclaimLocked();
+  /// Moves every retired snapshot whose retire epoch has drained into
+  /// `*drained`, for the caller to destroy once writer_mu_ is released.
+  void DrainLocked(std::vector<std::unique_ptr<VersionNode>>* drained);
   uint64_t OldestAnnounced() const;  // kQuiescent when nothing is pinned
 
   std::atomic<const VersionNode*> head_{nullptr};

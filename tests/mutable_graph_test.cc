@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "graph/generator.h"
 #include "graph/traversal.h"
 #include "matching/ball.h"
@@ -169,6 +172,92 @@ TEST(MutableGraphTest, BallBuilderSurvivesNodeGrowth) {
   builder.Build(added, 1, &ball);
   EXPECT_EQ(ball.to_global.size(), 2u);
   EXPECT_EQ(ball.center, added);
+}
+
+// The reference that Snapshot() must agree with: every edge pushed through
+// AddEdge, then Finalize().
+Graph RebuildThroughFinalize(const MutableGraph& m) {
+  Graph g;
+  for (NodeId v = 0; v < m.num_nodes(); ++v) g.AddNode(m.label(v));
+  for (NodeId v = 0; v < m.num_nodes(); ++v) {
+    for (size_t i = 0; i < m.OutDegree(v); ++i) {
+      g.AddEdge(v, m.OutNeighbors(v)[i], m.OutEdgeLabels(v)[i]);
+    }
+  }
+  g.Finalize();
+  return g;
+}
+
+template <typename T>
+std::vector<T> ToVector(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
+void ExpectSameFinalizedGraph(const Graph& actual, const Graph& expected) {
+  ASSERT_TRUE(actual.finalized());
+  ASSERT_EQ(actual.num_nodes(), expected.num_nodes());
+  EXPECT_EQ(actual.num_edges(), expected.num_edges());
+  EXPECT_TRUE(actual.StructurallyEqual(expected, /*compare_edge_labels=*/true));
+  for (NodeId v = 0; v < expected.num_nodes(); ++v) {
+    EXPECT_EQ(actual.label(v), expected.label(v)) << "node " << v;
+    EXPECT_EQ(ToVector(actual.OutNeighbors(v)), ToVector(expected.OutNeighbors(v)))
+        << "out-row " << v;
+    EXPECT_EQ(ToVector(actual.OutEdgeLabels(v)),
+              ToVector(expected.OutEdgeLabels(v)))
+        << "edge labels of " << v;
+    EXPECT_EQ(ToVector(actual.InNeighbors(v)), ToVector(expected.InNeighbors(v)))
+        << "in-row " << v;
+  }
+  EXPECT_EQ(ToVector(actual.DistinctLabels()),
+            ToVector(expected.DistinctLabels()));
+  for (Label l : expected.DistinctLabels()) {
+    EXPECT_EQ(ToVector(actual.NodesWithLabel(l)),
+              ToVector(expected.NodesWithLabel(l)))
+        << "label " << l;
+  }
+  EXPECT_EQ(actual.ContentHash(), expected.ContentHash());
+}
+
+// Property: after every batch of seeded random edits — inserts, removals,
+// parallel edges under other labels, new nodes with new labels —
+// Snapshot() is the same finalized graph as the AddEdge + Finalize()
+// rebuild of the same content, and every call is a fresh instance.
+TEST(MutableGraphTest, SnapshotEqualsFinalizeRebuildUnderRandomEdits) {
+  constexpr uint32_t kLabels = 6;
+  for (uint64_t seed : {3u, 11u, 29u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MutableGraph m(MakeUniform(300, 1.2, kLabels, seed));
+    Rng rng(seed * 7919 + 1);
+    Label next_label = kLabels;
+    for (int batch = 0; batch < 20; ++batch) {
+      for (int edit = 0; edit < 40; ++edit) {
+        const NodeId u = static_cast<NodeId>(rng.Uniform(m.num_nodes()));
+        const NodeId v = static_cast<NodeId>(rng.Uniform(m.num_nodes()));
+        const uint64_t kind = rng.Uniform(20);
+        if (kind < 9) {
+          (void)m.InsertEdge(u, v, static_cast<EdgeLabel>(rng.Uniform(4)));
+        } else if (kind < 12 && m.OutDegree(u) > 0) {
+          // A parallel edge under another label, possibly a smaller one.
+          const size_t i = rng.Uniform(m.OutDegree(u));
+          (void)m.InsertEdge(u, m.OutNeighbors(u)[i],
+                             static_cast<EdgeLabel>(rng.Uniform(4)));
+        } else if (kind < 19 && m.OutDegree(u) > 0) {
+          const size_t i = rng.Uniform(m.OutDegree(u));
+          ASSERT_TRUE(
+              m.RemoveEdge(u, m.OutNeighbors(u)[i], m.OutEdgeLabels(u)[i]).ok());
+        } else {
+          const NodeId added = m.AddNode(next_label++);
+          ASSERT_TRUE(m.InsertEdge(u, added).ok());
+          ASSERT_TRUE(m.InsertEdge(added, v, 2).ok());
+        }
+      }
+      const Graph snapshot = m.Snapshot();
+      ExpectSameFinalizedGraph(snapshot, RebuildThroughFinalize(m));
+      const Graph again = m.Snapshot();
+      EXPECT_NE(snapshot.instance_id(), 0u);
+      EXPECT_NE(again.instance_id(), snapshot.instance_id());
+    }
+  }
 }
 
 }  // namespace
