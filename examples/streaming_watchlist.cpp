@@ -1,6 +1,5 @@
 // Streaming watchlist: keep a strong-simulation result live while the
-// graph changes — the paper's §6 "incremental methods" future-work item,
-// with top-k ranking on the maintained matches.
+// graph changes — the paper's §6 "incremental methods" future-work item.
 //
 // Scenario: a fraud-style triangle pattern (account -> mule -> cashout ->
 // account) watched over a growing transaction graph. Each inserted edge
@@ -11,7 +10,6 @@
 
 #include "api/engine.h"
 #include "extensions/incremental.h"
-#include "extensions/ranking.h"
 #include "graph/generator.h"
 
 int main() {
@@ -152,10 +150,6 @@ int main() {
   }
 
   const auto matches = session->CurrentMatches();
-  std::printf("\n%zu ring(s) live; top-ranked:\n", matches.size());
-  for (const PerfectSubgraph& pg : TopKMatches(q, matches, 3)) {
-    std::printf("  ring around node %u: %zu nodes, score %.2f\n", pg.center,
-                pg.nodes.size(), ScoreMatch(q, pg));
-  }
+  std::printf("\n%zu ring(s) live\n", matches.size());
   return 0;
 }

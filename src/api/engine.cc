@@ -6,20 +6,17 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "api/algo_names.h"
-#include "common/bounded_queue.h"
 #include "matching/containment.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "extensions/regex_strong.h"
 #include "graph/components.h"
 #include "matching/aux_graph.h"
 #include "matching/ball.h"
+#include "matching/ball_executor.h"
 #include "matching/bounded_simulation.h"
 #include "matching/dual_simulation.h"
 #include "matching/parallel_match.h"
@@ -930,13 +927,13 @@ Result<MatchResponse> Engine::Dispatch(const PreparedQuery& query,
 namespace {
 
 // Per-request state of one batched strong-family item: its run state
-// (centers, radius, memoized filter), the centers-wanted mask the shared
-// ball loop consults, and the accumulators it writes into. Lives at a
-// stable address once BuildRunState ran (the run states are
+// (centers, radius, memoized filter), the ball program the shared loop
+// runs for it, and the accumulators that program delivers into. Lives at
+// a stable address once BuildRunState ran (the run states are
 // self-referential). Plain strong and regex items differ only in which
-// run state is built and which per-ball pipeline Process dispatches to —
-// the shared ball loop treats them uniformly, so a regex item whose
-// weighted radius equals a plain item's diameter shares its balls.
+// run state is built and which context their program carries — the
+// shared ball loop treats them uniformly, so a regex item whose weighted
+// radius equals a plain item's diameter shares its balls.
 struct BatchPlan {
   size_t index = 0;  // position in the batch / output vector
   const PreparedQuery* query = nullptr;
@@ -949,9 +946,8 @@ struct BatchPlan {
   bool dead = false;  // BuildRunState failed; response already written
   bool is_regex = false;
   internal::RunState state;
-  internal::MatchContext context;
   internal::RegexRunState regex_state;
-  // The pruned auxiliary graph this plan's ball loop runs over (null for
+  // The pruned auxiliary graph program.aux points at (null for
   // non-dual-filtered plain plans): the engine memo when the aux cache
   // hit, `aux_storage` when the plan built its own. Only its
   // landmark-filtered center list feeds the shared loop unconditionally;
@@ -959,66 +955,37 @@ struct BatchPlan {
   // MatchBatch).
   std::shared_ptr<const AuxGraphResult> aux_keepalive;
   AuxGraphResult aux_storage;
-  const AuxGraphResult* aux = nullptr;
   bool aux_miss = false;
-  DynamicBitset wants;  // over V(g): centers this request visits
+  // The per-ball half: context, centers, aux graph and wanted centers;
+  // its ball counters land in response.stats.
+  internal::BallProgram program;
   bool parallel = false;
   size_t threads = 0;
   std::vector<PerfectSubgraph> raw;
   MatchResponse response;
   // Streaming state (sink != nullptr): subgraphs flow out from inside the
-  // shared ball loop instead of accumulating into `raw`. The stop flag is
-  // on the heap (and atomic) so ball workers can poll it while the
-  // drainer owns the plan — and BatchPlan stays movable.
+  // shared ball loop instead of accumulating into `raw`; a sink that
+  // returns false stops the program, so it wants no further balls.
   const SubgraphSink* sink = nullptr;
-  std::unordered_set<uint64_t> seen_hashes;
-  size_t delivered = 0;
-  std::shared_ptr<std::atomic<bool>> stopped =
-      std::make_shared<std::atomic<bool>>(false);
+  internal::StreamDelivery stream;
 
-  // The per-ball pipeline of this item on one shared prebuilt ball.
-  std::optional<PerfectSubgraph> Process(
-      const Ball& ball, MatchStats* stats, internal::MatchScratch* scratch,
-      internal::RegexBallScratch* regex_scratch) const {
-    return is_regex ? internal::ProcessRegexBall(regex_state.context, ball,
-                                                 stats, regex_scratch)
-                    : internal::ProcessBall(context, ball, stats, scratch);
-  }
-
-  // The centers this plan's ball loop visits (valid once its run state
-  // is built and not proven empty): the landmark-filtered list when an
-  // aux graph is attached, the filter's survivors otherwise.
-  const std::vector<NodeId>& Centers() const {
-    if (aux != nullptr) return aux->centers;
-    return is_regex ? *regex_state.centers : *state.centers;
-  }
-
-  // True while this plan still wants center c's ball — a streaming plan
-  // whose sink returned false wants nothing more.
-  bool Wants(NodeId center) const {
-    return wants.Test(center) && !stopped->load(std::memory_order_relaxed);
-  }
-
-  // Streams one completed subgraph to this plan's sink. Single-threaded
-  // by construction: called from the serial ball loop or the parallel
-  // drainer, never from ball workers.
+  // Hands one completed subgraph to this plan. Single-threaded by
+  // construction: called on the ball loop's draining thread only.
   void Deliver(PerfectSubgraph&& pg, const Timer& batch_timer) {
-    MatchStats& stats = response.stats;
-    ScopedSecondsAccumulator emit_stage(&stats.emit_seconds);
+    if (sink == nullptr) {
+      if (raw.empty()) {
+        response.stats.seconds_to_first_subgraph = batch_timer.Seconds();
+      }
+      raw.push_back(std::move(pg));
+      return;
+    }
+    if (program.stopped->load(std::memory_order_relaxed)) return;
     // First-arrival dedup, like the lone streaming Match (regex plans
     // carry their effective options — EffectiveRegexOptions — so a
     // dedup=false regex item streams raw, matching the lone regex
     // stream).
-    if (options.dedup && !seen_hashes.insert(pg.ContentHash()).second) {
-      ++stats.duplicates_removed;
-      return;
-    }
-    if (delivered == 0) {
-      stats.seconds_to_first_subgraph = batch_timer.Seconds();
-    }
-    ++delivered;
-    if (!(*sink)(std::move(pg))) {
-      stopped->store(true, std::memory_order_relaxed);
+    if (!stream.Deliver(std::move(pg), *sink, batch_timer, &response.stats)) {
+      program.stopped->store(true, std::memory_order_relaxed);
     }
   }
 };
@@ -1060,250 +1027,6 @@ std::vector<size_t> ComputeShareRoots(const std::vector<BatchPlan*>& group) {
     }
   }
   return root;
-}
-
-// One shared per-ball evaluation, in flight: the root's refined result
-// and stats delta, handed to each sharing member until `remaining` hits
-// zero (then the slot resets for the next center).
-struct SharedEval {
-  bool computed = false;
-  size_t remaining = 0;
-  std::optional<PerfectSubgraph> pg;
-  MatchStats delta;
-};
-
-// Replicates the shared evaluation's counters onto one member — each
-// member reports the lone-run counts (the work its query logically
-// required), mirroring how balls_shared members each count the ball.
-// Wall time (refine_seconds) is instead divided by the root, like
-// ball_build_seconds, so summed batch stats reflect work actually done.
-void AccumulateSharedEval(const MatchStats& delta, MatchStats* stats) {
-  stats->balls_considered += delta.balls_considered;
-  stats->balls_skipped_pruning += delta.balls_skipped_pruning;
-  stats->balls_center_unmatched += delta.balls_center_unmatched;
-  stats->candidate_pairs_refined += delta.candidate_pairs_refined;
-  stats->refine_seconds += delta.refine_seconds;
-}
-
-// The shared ball loop, single-threaded: merged centers in ascending
-// order, one ball build per center (from the shared CSR snapshot), every
-// interested plan's per-ball pipeline on it. Ascending order makes each
-// plan see exactly the center sequence of its lone serial Match — which
-// is also what lets streaming plans deliver with first-arrival dedup and
-// match the lone stream byte for byte.
-void RunBatchGroupSerial(const CsrGraph& csr, const AuxGraphResult* group_aux,
-                         uint32_t radius, const std::vector<NodeId>& merged,
-                         const std::vector<BatchPlan*>& group,
-                         const std::vector<size_t>& share_root,
-                         const Timer& batch_timer) {
-  Ball ball;
-  internal::MatchScratch scratch;
-  internal::RegexBallScratch regex_scratch;
-  std::vector<size_t> active;
-  std::vector<size_t> root_active(group.size(), 0);
-  std::vector<SharedEval> eval(group.size());
-  auto scan = [&](auto& builder) {
-    for (NodeId center : merged) {
-      active.clear();
-      for (size_t p = 0; p < group.size(); ++p) {
-        if (group[p]->Wants(center)) active.push_back(p);
-      }
-      if (active.empty()) continue;  // every wanting plan has stopped
-      for (const size_t p : active) root_active[share_root[p]] = 0;
-      for (const size_t p : active) ++root_active[share_root[p]];
-      Timer build_timer;
-      builder.Build(center, radius, &ball);
-      // One shared build, its cost amortized across the plans that use
-      // it: each interested plan is charged its share, so summed batch
-      // stats reflect the work actually done (not `interested` copies
-      // of it).
-      const double build_seconds =
-          build_timer.Seconds() / static_cast<double>(active.size());
-      for (const size_t p : active) {
-        BatchPlan* plan = group[p];
-        MatchStats& stats = plan->response.stats;
-        stats.ball_build_seconds += build_seconds;
-        if (active.size() > 1) ++stats.balls_shared;
-        // The shared evaluation: the root member refines the ball once;
-        // identical-pipeline members replicate its counters (and split
-        // its wall time) instead of re-running the fixpoint.
-        const size_t r = share_root[p];
-        SharedEval& ev = eval[r];
-        if (!ev.computed) {
-          ev.computed = true;
-          ev.delta = MatchStats{};
-          ev.pg =
-              group[r]->Process(ball, &ev.delta, &scratch, &regex_scratch);
-          ev.delta.refine_seconds /= static_cast<double>(root_active[r]);
-          ev.remaining = root_active[r];
-        }
-        AccumulateSharedEval(ev.delta, &stats);
-        if (root_active[r] > 1) ++stats.dual_relations_shared;
-        --ev.remaining;
-        std::optional<PerfectSubgraph> pg;
-        if (ev.remaining == 0) {
-          pg = std::move(ev.pg);
-          ev = SharedEval{};
-        } else {
-          pg = ev.pg;
-        }
-        if (!pg.has_value()) continue;
-        if (plan->sink != nullptr) {
-          plan->Deliver(std::move(*pg), batch_timer);
-          continue;
-        }
-        if (plan->raw.empty()) {
-          stats.seconds_to_first_subgraph = batch_timer.Seconds();
-        }
-        plan->raw.push_back(std::move(*pg));
-      }
-    }
-  };
-  if (group_aux != nullptr) {
-    AuxBallBuilder builder(csr, *group_aux);
-    scan(builder);
-  } else {
-    CsrBallBuilder builder(csr);
-    scan(builder);
-  }
-}
-
-// Multi-threaded shared ball loop: workers shard the merged centers,
-// build each ball once (from the shared CSR snapshot), evaluate every
-// interested plan on it, and push (plan, subgraph) through a bounded
-// queue to the draining caller — the PR 2 streaming pipeline with a plan
-// tag on each item. The drainer hands streaming plans' subgraphs to their
-// sinks in arrival order (one thread, honoring the sink contract).
-void RunBatchGroupParallel(const CsrGraph& csr,
-                           const AuxGraphResult* group_aux, uint32_t radius,
-                           const std::vector<NodeId>& merged,
-                           const std::vector<BatchPlan*>& group,
-                           const std::vector<size_t>& share_root,
-                           size_t num_threads, const Timer& batch_timer) {
-  constexpr size_t kQueueDepthPerWorker = 8;
-  const size_t shards_count =
-      std::min(num_threads, std::max<size_t>(1, merged.size()));
-  const size_t per_shard =
-      (merged.size() + shards_count - 1) / shards_count;
-  // One scratch stats block per (shard, plan); merged below.
-  std::vector<std::vector<MatchStats>> shard_stats(
-      shards_count, std::vector<MatchStats>(group.size()));
-
-  BoundedQueue<std::pair<size_t, PerfectSubgraph>> queue(shards_count *
-                                                         kQueueDepthPerWorker);
-  std::atomic<size_t> active_producers{shards_count};
-  {
-    ThreadPool pool(shards_count);
-    for (size_t s = 0; s < shards_count; ++s) {
-      pool.Submit([&, s] {
-        const size_t begin = s * per_shard;
-        const size_t end = std::min(merged.size(), begin + per_shard);
-        Ball ball;
-        internal::MatchScratch scratch;
-        internal::RegexBallScratch regex_scratch;
-        std::vector<size_t> active;
-        std::vector<size_t> root_active(group.size(), 0);
-        std::vector<SharedEval> eval(group.size());
-        auto run = [&](auto& builder) {
-          for (size_t i = begin; i < end; ++i) {
-            const NodeId center = merged[i];
-            active.clear();
-            for (size_t p = 0; p < group.size(); ++p) {
-              if (group[p]->Wants(center)) active.push_back(p);
-            }
-            if (active.empty()) continue;  // every wanting plan stopped
-            for (const size_t p : active) root_active[share_root[p]] = 0;
-            for (const size_t p : active) ++root_active[share_root[p]];
-            Timer build_timer;
-            builder.Build(center, radius, &ball);
-            // Shared build cost amortized across interested plans (see
-            // RunBatchGroupSerial).
-            const double build_seconds =
-                build_timer.Seconds() / static_cast<double>(active.size());
-            for (const size_t p : active) {
-              MatchStats& stats = shard_stats[s][p];
-              stats.ball_build_seconds += build_seconds;
-              if (active.size() > 1) ++stats.balls_shared;
-              // Shared evaluation, as in the serial loop: the root
-              // refines once per (pipeline, ball); members replicate
-              // counters and split wall time.
-              const size_t r = share_root[p];
-              SharedEval& ev = eval[r];
-              if (!ev.computed) {
-                ev.computed = true;
-                ev.delta = MatchStats{};
-                ev.pg = group[r]->Process(ball, &ev.delta, &scratch,
-                                          &regex_scratch);
-                ev.delta.refine_seconds /=
-                    static_cast<double>(root_active[r]);
-                ev.remaining = root_active[r];
-              }
-              AccumulateSharedEval(ev.delta, &stats);
-              if (root_active[r] > 1) ++stats.dual_relations_shared;
-              --ev.remaining;
-              std::optional<PerfectSubgraph> pg;
-              if (ev.remaining == 0) {
-                pg = std::move(ev.pg);
-                ev = SharedEval{};
-              } else {
-                pg = ev.pg;
-              }
-              // Push cannot fail here: a batch has no whole-queue early
-              // stop (a stopped streaming plan just stops being wanted),
-              // so the drainer never cancels and Close happens only after
-              // the last producer exits.
-              if (pg.has_value()) queue.Push({p, std::move(*pg)});
-            }
-          }
-        };
-        if (group_aux != nullptr) {
-          AuxBallBuilder builder(csr, *group_aux);
-          run(builder);
-        } else {
-          CsrBallBuilder builder(csr);
-          run(builder);
-        }
-        if (active_producers.fetch_sub(1) == 1) queue.Close();
-      });
-    }
-
-    // Single drainer: this thread, arrival order (canonicalization below
-    // restores the deterministic batch order for materializing plans;
-    // streaming plans deliver here, in arrival order like a lone parallel
-    // stream).
-    while (std::optional<std::pair<size_t, PerfectSubgraph>> item =
-               queue.Pop()) {
-      BatchPlan* plan = group[item->first];
-      if (plan->sink != nullptr) {
-        if (!plan->stopped->load(std::memory_order_relaxed)) {
-          plan->Deliver(std::move(item->second), batch_timer);
-        }
-        continue;
-      }
-      if (plan->raw.empty()) {
-        plan->response.stats.seconds_to_first_subgraph =
-            batch_timer.Seconds();
-      }
-      plan->raw.push_back(std::move(item->second));
-    }
-    pool.Wait();
-  }
-
-  for (size_t s = 0; s < shards_count; ++s) {
-    for (size_t p = 0; p < group.size(); ++p) {
-      MatchStats& total = group[p]->response.stats;
-      const MatchStats& shard = shard_stats[s][p];
-      total.balls_considered += shard.balls_considered;
-      total.balls_skipped_pruning += shard.balls_skipped_pruning;
-      total.balls_center_unmatched += shard.balls_center_unmatched;
-      total.candidate_pairs_refined += shard.candidate_pairs_refined;
-      total.balls_shared += shard.balls_shared;
-      total.dual_relations_shared += shard.dual_relations_shared;
-      // Stage times are CPU-seconds: summed across workers.
-      total.ball_build_seconds += shard.ball_build_seconds;
-      total.refine_seconds += shard.refine_seconds;
-    }
-  }
 }
 
 }  // namespace
@@ -1404,6 +1127,7 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
     } else {
       plan.options = EffectiveOptions(request);
     }
+    plan.stream.dedup = plan.options.dedup;
     // An exactly repeated request is served from the result cache — same
     // contract as a lone Match (batch items are non-distributed by the
     // batchable definition above; streaming items always execute, like a
@@ -1499,6 +1223,8 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
       }
       if (plan.regex_state.proven_empty) continue;  // finalized below
       plan_radius = plan.regex_state.context.radius;
+      plan.program.context = plan.regex_state.context;
+      plan.program.centers = plan.regex_state.centers;
     } else {
       const Status built = internal::BuildRunState(
           item.query->pattern(), g, plan.options, item.query->prep(),
@@ -1509,13 +1235,9 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
         continue;
       }
       if (plan.state.proven_empty) continue;  // finalized below, no balls
-      plan.context.original_pattern = &item.query->pattern();
-      plan.context.effective_pattern = plan.state.effective_pattern;
-      plan.context.class_of = plan.state.class_of;
-      plan.context.global_bits = plan.state.global_bits;
-      plan.context.radius = plan.state.radius;
-      plan.context.options = plan.options;
       plan_radius = plan.state.radius;
+      plan.program.context = plan.state.context;
+      plan.program.centers = plan.state.centers;
     }
     // Attach the pruned auxiliary graph + landmark center index (the
     // engine memo when the aux cache is on, a local build otherwise) —
@@ -1536,21 +1258,24 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
           LookupAux(*item.query, g, plan.options.minimize_query, plan_radius,
                     *csr, *aux_filter, &plan.aux_miss);
       if (plan.aux_keepalive != nullptr) {
-        plan.aux = plan.aux_keepalive.get();
+        plan.program.aux = plan.aux_keepalive.get();
       } else {
         plan.aux_storage =
             plan.is_regex
                 ? BuildRegexAuxGraph(item.query->regex(), *csr, *aux_filter,
                                      plan_radius)
                 : BuildAuxGraph(*csr, *aux_filter, plan_radius);
-        plan.aux = &plan.aux_storage;
+        plan.program.aux = &plan.aux_storage;
         plan.aux_miss = true;
       }
       plan.response.stats.balls_skipped_index =
-          plan.aux->centers_skipped_index;
+          plan.program.aux->centers_skipped_index;
     }
-    plan.wants = DynamicBitset(g.num_nodes());
-    for (NodeId center : plan.Centers()) plan.wants.Set(center);
+    plan.program.stats = &plan.response.stats;
+    plan.program.wants = DynamicBitset(g.num_nodes());
+    for (NodeId center : plan.program.Centers()) {
+      plan.program.wants.Set(center);
+    }
     by_radius[plan_radius].push_back(&plan);
   }
 
@@ -1559,11 +1284,13 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
     // keeps its serial center order).
     std::vector<NodeId> merged;
     size_t total = 0;
-    for (const BatchPlan* plan : group) total += plan->Centers().size();
+    for (const BatchPlan* plan : group) {
+      total += plan->program.Centers().size();
+    }
     merged.reserve(total);
     for (const BatchPlan* plan : group) {
-      merged.insert(merged.end(), plan->Centers().begin(),
-                    plan->Centers().end());
+      merged.insert(merged.end(), plan->program.Centers().begin(),
+                    plan->program.Centers().end());
     }
     std::sort(merged.begin(), merged.end());
     merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
@@ -1575,9 +1302,9 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
     // balls instead and let each plan's refinement discard the rest —
     // byte-identical either way (the per-ball fixpoint kills
     // non-survivors the pruned builder would have omitted).
-    const AuxGraphResult* group_aux = group.front()->aux;
+    const AuxGraphResult* group_aux = group.front()->program.aux;
     for (const BatchPlan* plan : group) {
-      if (plan->aux != group_aux) {
+      if (plan->program.aux != group_aux) {
         group_aux = nullptr;
         break;
       }
@@ -1585,28 +1312,27 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
 
     // The group runs multi-threaded iff any member asked for it, with the
     // largest requested worker count (0 = hardware concurrency).
-    bool parallel = false;
     size_t threads = 1;
-    for (const BatchPlan* plan : group) {
-      if (!plan->parallel) continue;
-      parallel = true;
-      const size_t requested =
-          plan->threads != 0
-              ? plan->threads
-              : std::max(1u, std::thread::hardware_concurrency());
-      threads = std::max(threads, requested);
+    std::vector<internal::BallProgram*> programs;
+    programs.reserve(group.size());
+    for (BatchPlan* plan : group) {
+      programs.push_back(&plan->program);
+      if (plan->parallel) {
+        threads = std::max(threads, internal::ResolveThreads(plan->threads));
+      }
     }
     // Identical-pipeline members of the group evaluate each shared ball
-    // once (the root refines, the rest reuse its relation).
-    const std::vector<size_t> share_root = ComputeShareRoots(group);
-
-    if (parallel && threads > 1) {
-      RunBatchGroupParallel(*csr, group_aux, radius, merged, group,
-                            share_root, threads, batch_timer);
-    } else {
-      RunBatchGroupSerial(*csr, group_aux, radius, merged, group, share_root,
-                          batch_timer);
-    }
+    // once (the root refines, the rest reuse its relation). Serial groups
+    // visit the merged centers ascending, so each plan sees exactly the
+    // center sequence of its lone serial Match — which is what lets
+    // streaming plans deliver with first-arrival dedup and match the lone
+    // stream byte for byte.
+    internal::RunBallPrograms(
+        *csr, group_aux, radius, merged, programs, ComputeShareRoots(group),
+        threads, [&](size_t p, PerfectSubgraph&& pg) {
+          group[p]->Deliver(std::move(pg), batch_timer);
+          return true;
+        });
   }
 
   // Finalize every batched plan into its response slot: deterministic
@@ -1618,9 +1344,9 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
     if (plan.sink != nullptr) {
       // Streaming plan: everything already went to the sink (dedup'd
       // first-arrival); only the counters are materialized.
-      response.stats.subgraphs_found = plan.delivered;
-      response.subgraphs_delivered = plan.delivered;
-      response.matched = plan.delivered > 0;
+      response.stats.subgraphs_found = plan.stream.delivered;
+      response.subgraphs_delivered = plan.stream.delivered;
+      response.matched = plan.stream.delivered > 0;
     } else {
       ScopedSecondsAccumulator emit_stage(&response.stats.emit_seconds);
       response.stats.duplicates_removed +=
@@ -1644,7 +1370,7 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
     // pruned-adjacency + landmark-index construction on this plan's
     // behalf; put it on the same ledger as the filter it derives from.
     if (plan.aux_miss) {
-      response.stats.global_filter_seconds += plan.aux->seconds;
+      response.stats.global_filter_seconds += plan.program.aux->seconds;
     }
     response.stats.total_seconds = batch_timer.Seconds();
     response.seconds = batch_timer.Seconds();

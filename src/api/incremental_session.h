@@ -5,8 +5,9 @@
 //   - reuses the PreparedQuery's compiled state (connectivity validation,
 //     diameter dQ) instead of re-deriving it,
 //   - repairs the maintained Θ under the session's ExecPolicy — Serial, or
-//     Parallel with BoundedQueue ball workers, byte-identical to Serial by
-//     the same determinism contract every other executor honors,
+//     Parallel on the shared ball executor's persistent workers
+//     (matching/ball_executor.h), byte-identical to Serial by the same
+//     determinism contract every other executor honors,
 //   - streams the net change of each update ({added, removed} perfect
 //     subgraphs) to an optional DeltaSink, and
 //   - serves cache-friendly snapshots: Snapshot() materializes the current
@@ -89,7 +90,8 @@ using SnapshotSubscriber = std::function<void(const PublishedSnapshot&)>;
 /// \brief Per-session knobs of Engine::OpenIncremental.
 struct IncrementalOptions {
   /// Where ball recomputation runs: Serial, or Parallel{threads} (the
-  /// affected balls of each update fan out over BoundedQueue workers).
+  /// affected balls of each update fan out over the ball executor's
+  /// workers).
   /// Distributed is NotImplemented — the maintained state lives in one
   /// process.
   ExecPolicy policy;

@@ -1,23 +1,20 @@
 #include "extensions/incremental.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "common/bounded_queue.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "graph/components.h"
 #include "graph/diameter.h"
 #include "graph/traversal.h"
 #include "matching/ball.h"
+#include "matching/ball_executor.h"
 
 namespace gpm {
 
@@ -36,7 +33,6 @@ struct IncrementalMatcher::Impl {
         radius(r),
         num_threads(threads),
         data(g),
-        builder(data),
         nearby(g.num_nodes()) {
     for (NodeId u = 0; u < pattern.num_nodes(); ++u) {
       pattern_labels.insert(pattern.label(u));
@@ -48,15 +44,17 @@ struct IncrementalMatcher::Impl {
   size_t num_threads;
   std::set<Label> pattern_labels;
 
-  // The live adjacency every ball build and BFS runs against. `builder`
-  // and the worker builders reference it; Impl lives behind a unique_ptr
+  // The live adjacency every ball build and BFS runs against. The
+  // per-worker ball builders reference it; Impl lives behind a unique_ptr
   // so those references survive moves of the owning matcher.
   MutableGraph data;
-  BallBuilderT<MutableGraph> builder;
   BfsWorkspace nearby;
   std::vector<BfsEntry> nearby_out;
-  std::vector<std::unique_ptr<BallBuilderT<MutableGraph>>> worker_builders;
-  std::unique_ptr<ThreadPool> pool;  // lazily sized num_threads, reused
+  // Ball builders (one per ball-loop worker) and the loop's worker pool
+  // persist across updates: a high-rate update stream must pay neither
+  // |V|-sized builder scratch nor thread spawn/join per edit.
+  std::vector<BallBuilderT<MutableGraph>> builders;
+  std::unique_ptr<ThreadPool> pool;
 
   std::unordered_map<NodeId, PerfectSubgraph> by_center;
   // Content hash -> the centers currently holding it. Θ-level add/remove
@@ -151,57 +149,26 @@ struct IncrementalMatcher::Impl {
       // A center with a foreign label can hold no entry (labels never
       // change), so there is nothing to clear for the rest.
     }
-    const size_t workers = std::min(num_threads, eligible.size() / 2);
-    if (workers > 1) {
-      RecomputeParallel(eligible, workers, delta);
-    } else {
-      Ball ball;
-      for (NodeId center : eligible) {
-        builder.Build(center, radius, &ball);
-        ApplyResult(center, MatchSingleBall(pattern, ball), delta);
-      }
-    }
+    // Parallel apply order differs run to run, but ApplyResult commutes
+    // across distinct centers and FinalizeDelta restores a deterministic
+    // delta, so the outcome is byte-identical to serial.
+    using Item = std::pair<NodeId, std::optional<PerfectSubgraph>>;
+    const size_t threads = std::min(num_threads, eligible.size() / 2);
+    const size_t workers = internal::BallLoopWorkers(eligible.size(), threads);
+    while (builders.size() < workers) builders.emplace_back(data);
+    std::vector<Ball> balls(workers);
+    internal::RunBallLoop<Item>(
+        eligible.size(), threads,
+        [&](size_t w, size_t i, auto& emit) {
+          builders[w].Build(eligible[i], radius, &balls[w]);
+          emit(Item(eligible[i], MatchSingleBall(pattern, balls[w])));
+        },
+        [&](Item&& item) {
+          ApplyResult(item.first, std::move(item.second), delta);
+          return true;
+        },
+        &pool);
     return eligible.size();
-  }
-
-  // The BoundedQueue fan-out of the serial loop above: ball workers shard
-  // the eligible centers, the calling thread drains and applies. Apply
-  // order differs run to run, but ApplyResult is commutative across
-  // distinct centers and FinalizeDelta restores a deterministic delta,
-  // so the outcome is byte-identical to serial.
-  void RecomputeParallel(const std::vector<NodeId>& eligible, size_t workers,
-                         MatchDelta* delta) {
-    while (worker_builders.size() < workers) {
-      worker_builders.push_back(
-          std::make_unique<BallBuilderT<MutableGraph>>(data));
-    }
-    // Workers and builders persist across updates: a high-rate update
-    // stream must not pay thread spawn/join per edit.
-    if (pool == nullptr) pool = std::make_unique<ThreadPool>(num_threads);
-    constexpr size_t kQueueDepthPerWorker = 8;
-    BoundedQueue<std::pair<NodeId, std::optional<PerfectSubgraph>>> queue(
-        workers * kQueueDepthPerWorker);
-    std::atomic<size_t> active_producers{workers};
-    const size_t per_shard = (eligible.size() + workers - 1) / workers;
-    for (size_t s = 0; s < workers; ++s) {
-      pool->Submit([&, s] {
-        const size_t begin = s * per_shard;
-        const size_t end = std::min(eligible.size(), begin + per_shard);
-        BallBuilderT<MutableGraph>& shard_builder = *worker_builders[s];
-        Ball ball;
-        for (size_t i = begin; i < end; ++i) {
-          shard_builder.Build(eligible[i], radius, &ball);
-          // Push cannot fail: the drainer never cancels and Close happens
-          // only after the last producer exits.
-          queue.Push({eligible[i], MatchSingleBall(pattern, ball)});
-        }
-        if (active_producers.fetch_sub(1) == 1) queue.Close();
-      });
-    }
-    while (auto item = queue.Pop()) {
-      ApplyResult(item->first, std::move(item->second), delta);
-    }
-    pool->Wait();
   }
 
   // Centers within `radius` of v in the *current* adjacency.
@@ -298,10 +265,8 @@ Result<IncrementalMatcher> IncrementalMatcher::CreateWithRadius(
   GPM_CHECK(q.finalized() && g.finalized());
   if (q.num_nodes() == 0)
     return Status::InvalidArgument("pattern graph is empty");
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  auto impl = std::make_unique<Impl>(q, radius, g, num_threads);
+  auto impl = std::make_unique<Impl>(q, radius, g,
+                                     internal::ResolveThreads(num_threads));
   // Initial full match: every node is a candidate center once.
   Timer timer;
   std::vector<NodeId> all(impl->data.num_nodes());

@@ -16,11 +16,12 @@
 // Like plain strong simulation, matching is ball-local (Theorem 5.1's
 // data locality carries over to weighted-radius balls), so the whole
 // executor family of the strong path applies: the per-ball pipeline is
-// internal::ProcessRegexBall, and on top of it sit the serial streaming
-// scan, the BoundedQueue producer/consumer parallel executors, and (in
-// distributed/distributed_match.h) the §4.3 BSP runtime. Every executor
-// returns/delivers the same dedup'd Θ; the batch forms are byte-identical
-// (min-center dedup representative, (center, content-hash) order).
+// internal::ProcessRegexBall, driven serially, across cores and inside
+// Engine::MatchBatch by the one ball executor shared with plain queries
+// (matching/ball_executor.h), and by the §4.3 BSP runtime in
+// distributed/distributed_match.h. Every executor returns/delivers the
+// same dedup'd Θ; the batch forms are byte-identical (min-center dedup
+// representative, (center, content-hash) order).
 
 #ifndef GPM_EXTENSIONS_REGEX_STRONG_H_
 #define GPM_EXTENSIONS_REGEX_STRONG_H_
@@ -32,7 +33,6 @@
 
 #include "common/bitset.h"
 #include "common/result.h"
-#include "common/timer.h"
 #include "extensions/regex_pattern.h"
 #include "matching/ball.h"
 #include "matching/match_relation.h"
@@ -104,8 +104,7 @@ Result<size_t> MatchStrongRegexStream(const RegexQuery& query, const Graph& g,
                                       bool dedup = true);
 
 /// MatchStrongRegex computed on `num_threads` ball workers
-/// (0 = hardware concurrency) through the shared BoundedQueue
-/// producer/consumer pipeline — byte-identical to the serial result for
+/// (0 = hardware concurrency) — byte-identical to the serial result for
 /// every thread count.
 Result<std::vector<PerfectSubgraph>> MatchStrongRegexParallel(
     const RegexQuery& query, const Graph& g, uint32_t radius = 0,
@@ -147,8 +146,7 @@ struct RegexMatchContext {
   const std::vector<DynamicBitset>* global_bits = nullptr;
 };
 
-/// Per-run preprocessing shared by the serial, parallel, and batched
-/// regex executors: the resolved radius and the center list (the regex
+/// Per-run preprocessing of one regex query: the resolved radius and the center list (the regex
 /// filter's surviving centers — computed into `filter_storage` when the
 /// caller has no memoized one). Owns the storage `context` points into;
 /// keep it alive (and unmoved) for the whole run.
@@ -210,22 +208,6 @@ struct RegexBallScratch {
 std::optional<PerfectSubgraph> ProcessRegexBall(
     const RegexMatchContext& context, const Ball& ball, MatchStats* stats,
     RegexBallScratch* scratch = nullptr);
-
-/// Build-then-process for one center — the regex mirror of
-/// internal::ProcessCenter, charging the ball construction to
-/// stats->ball_build_seconds. Works over anything with a
-/// BallBuilderT-shaped Build(center, radius, ball) — the executors use
-/// AuxBallBuilder over the pruned constraint-label adjacency; the
-/// distributed runtime uses BallBuilder over fragment graphs.
-template <typename BuilderT>
-std::optional<PerfectSubgraph> ProcessRegexCenter(
-    const RegexMatchContext& context, NodeId center, BuilderT* builder,
-    Ball* ball, MatchStats* stats, RegexBallScratch* scratch = nullptr) {
-  Timer build_timer;
-  builder->Build(center, context.radius, ball);
-  stats->ball_build_seconds += build_timer.Seconds();
-  return ProcessRegexBall(context, *ball, stats, scratch);
-}
 
 }  // namespace internal
 

@@ -84,13 +84,12 @@ void Graph::Finalize() {
     elabels.assign(sorted_labels.begin(), sorted_labels.end());
     edges += nbrs.size();
   }
-  // Rebuild in-adjacency from the dedup'd out-adjacency.
+  // Rebuild in-adjacency from the dedup'd out-adjacency. Sources are
+  // visited ascending and each appears at most once per out-row, so every
+  // in-row comes out strictly ascending without a sort.
   for (NodeId v = 0; v < labels_.size(); ++v) in_[v].clear();
   for (NodeId u = 0; u < labels_.size(); ++u) {
     for (NodeId v : out_[u]) in_[v].push_back(u);
-  }
-  for (NodeId v = 0; v < labels_.size(); ++v) {
-    std::sort(in_[v].begin(), in_[v].end());
   }
   num_edges_ = edges;
   Seal();

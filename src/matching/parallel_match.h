@@ -1,16 +1,17 @@
 // Multi-threaded Match: the Fig. 3 loop is embarrassingly parallel over
 // ball centers (every ball is processed independently; Theorem 1 makes
 // the result set order-insensitive). The paper exploits this across
-// machines (§4.3); these executors exploit it across cores, sharing the
+// machines (§4.3); these entry points exploit it across cores, sharing the
 // one-time preprocessing (minQ, global dual filter).
 //
-// Both entry points run the same producer/consumer pipeline: worker
-// threads process center shards and push each completed perfect subgraph
-// into a BoundedQueue (blocking push = backpressure), while the calling
-// thread drains the queue. MatchStrongParallelStream forwards each
-// subgraph to a SubgraphSink as it arrives — time-to-first-result is one
-// ball, not the whole run — and MatchStrongParallel collects the stream
-// into the deterministic batch result.
+// They are the serial MatchStrong / MatchStrongStream run with a thread
+// count: the same run state and the same single-program RunBallPrograms
+// loop (matching/ball_executor.h), whose workers shard the centers and
+// push each perfect subgraph into one bounded queue the calling thread
+// drains. MatchStrongParallelStream forwards each subgraph to a
+// SubgraphSink as it arrives — time-to-first-result is one ball, not the
+// whole run — and MatchStrongParallel collects the stream into the
+// deterministic batch result. Both are defined in strong_simulation.cc.
 
 #ifndef GPM_MATCHING_PARALLEL_MATCH_H_
 #define GPM_MATCHING_PARALLEL_MATCH_H_

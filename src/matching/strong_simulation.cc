@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/bitset.h"
 #include "common/logging.h"
@@ -13,7 +12,9 @@
 #include "graph/diameter.h"
 #include "matching/aux_graph.h"
 #include "matching/ball.h"
+#include "matching/ball_executor.h"
 #include "matching/dual_simulation.h"
+#include "matching/parallel_match.h"
 #include "matching/query_minimization.h"
 #include "matching/sim_refiner.h"
 #include "matching/strong_simulation_internal.h"
@@ -250,8 +251,6 @@ namespace internal {
 std::optional<PerfectSubgraph> ProcessBall(const MatchContext& context,
                                            const Ball& ball, MatchStats* stats,
                                            MatchScratch* scratch) {
-  MatchScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
   ScopedSecondsAccumulator stage(&stats->refine_seconds);
 
   const Graph& qeff = *context.effective_pattern;
@@ -405,7 +404,7 @@ Status BuildRunState(const Graph& q, const Graph& g,
 
   // Optional minQ: use the prepared quotient, computing it here only when
   // the prep was built without minimization. Results are expanded back to
-  // original query nodes by ProcessCenter.
+  // original query nodes by ProcessBall.
   state->effective_pattern = &q;
   state->class_of = nullptr;
   if (options.minimize_query) {
@@ -451,6 +450,12 @@ Status BuildRunState(const Graph& q, const Graph& g,
     for (NodeId v = 0; v < g.num_nodes(); ++v) state->centers_storage[v] = v;
     state->centers = &state->centers_storage;
   }
+  state->context.original_pattern = &q;
+  state->context.effective_pattern = state->effective_pattern;
+  state->context.class_of = state->class_of;
+  state->context.global_bits = state->global_bits;
+  state->context.radius = state->radius;
+  state->context.options = options;
   return Status::OK();
 }
 
@@ -509,13 +514,17 @@ Result<DualFilterResult> ComputeDualFilterSeeded(
   return out;
 }
 
-Result<size_t> MatchStrongStream(const Graph& q, const Graph& g,
-                                 const MatchOptions& options,
-                                 const SubgraphSink& sink, MatchStats* stats,
-                                 const PatternPrep* prep,
-                                 const DualFilterResult* filter,
-                                 const CsrGraph* csr,
-                                 const AuxGraphResult* aux) {
+namespace {
+
+// One lone plain run on `threads` ball workers: run-state setup, then the
+// query as the single program of one RunBallPrograms loop, streamed into
+// `sink` (first-arrival dedup when `dedup`).
+Result<size_t> StreamStrong(const Graph& q, const Graph& g,
+                            const MatchOptions& options, size_t threads,
+                            bool dedup, const SubgraphSink& sink,
+                            MatchStats* stats, const PatternPrep* prep,
+                            const DualFilterResult* filter,
+                            const CsrGraph* csr, const AuxGraphResult* aux) {
   GPM_CHECK(q.finalized() && g.finalized());
   PatternPrep local_prep;
   if (prep == nullptr) {
@@ -532,14 +541,6 @@ Result<size_t> MatchStrongStream(const Graph& q, const Graph& g,
 
   size_t delivered = 0;
   if (!state.proven_empty) {
-    internal::MatchContext context;
-    context.original_pattern = &q;
-    context.effective_pattern = state.effective_pattern;
-    context.class_of = state.class_of;
-    context.global_bits = state.global_bits;
-    context.radius = state.radius;
-    context.options = options;
-
     // The ball loop runs on a CSR snapshot of g (flat adjacency): the
     // caller's memoized one if provided, a local conversion otherwise.
     CsrGraph local_csr;
@@ -559,46 +560,50 @@ Result<size_t> MatchStrongStream(const Graph& q, const Graph& g,
       local_stats.global_filter_seconds += local_aux.seconds;
       aux = &local_aux;
     }
-    const std::vector<NodeId>* centers = state.centers;
     if (aux != nullptr) {
       GPM_CHECK_EQ(aux->radius, state.radius);
-      centers = &aux->centers;
       local_stats.balls_skipped_index = aux->centers_skipped_index;
     }
 
-    std::unordered_set<uint64_t> seen_hashes;
-    Ball ball;
-    internal::MatchScratch scratch;
-    auto scan = [&](auto& builder) {
-      for (NodeId w : *centers) {
-        auto pg = internal::ProcessCenter(context, w, &builder, &ball,
-                                          &local_stats, &scratch);
-        if (!pg.has_value()) continue;
-        ScopedSecondsAccumulator emit_stage(&local_stats.emit_seconds);
-        if (options.dedup && !seen_hashes.insert(pg->ContentHash()).second) {
-          ++local_stats.duplicates_removed;
-          continue;
-        }
-        if (delivered == 0) {
-          local_stats.seconds_to_first_subgraph = total_timer.Seconds();
-        }
-        ++delivered;
-        ++local_stats.subgraphs_found;
-        if (!sink(std::move(*pg))) break;
-      }
-    };
-    if (aux != nullptr) {
-      AuxBallBuilder builder(*csr, *aux);
-      scan(builder);
-    } else {
-      CsrBallBuilder builder(*csr);
-      scan(builder);
-    }
+    internal::BallProgram program;
+    program.context = state.context;
+    program.aux = aux;
+    program.centers = state.centers;
+    program.stats = &local_stats;
+    delivered = internal::RunLoneProgram(program, *csr, state.radius,
+                                         threads, dedup, sink, total_timer);
   }
 
   local_stats.total_seconds = total_timer.Seconds();
   if (stats != nullptr) *stats = local_stats;
   return delivered;
+}
+
+// Materializes a lone plain run on `threads` workers as the canonical
+// batch result.
+Result<std::vector<PerfectSubgraph>> CollectStrong(
+    const Graph& q, const Graph& g, const MatchOptions& options,
+    size_t threads, MatchStats* stats, const PatternPrep* prep,
+    const DualFilterResult* filter, const CsrGraph* csr,
+    const AuxGraphResult* aux) {
+  return internal::CollectCanonical(
+      options.dedup, stats, [&](const SubgraphSink& sink, MatchStats* raw) {
+        return StreamStrong(q, g, options, threads, /*dedup=*/false, sink,
+                            raw, prep, filter, csr, aux);
+      });
+}
+
+}  // namespace
+
+Result<size_t> MatchStrongStream(const Graph& q, const Graph& g,
+                                 const MatchOptions& options,
+                                 const SubgraphSink& sink, MatchStats* stats,
+                                 const PatternPrep* prep,
+                                 const DualFilterResult* filter,
+                                 const CsrGraph* csr,
+                                 const AuxGraphResult* aux) {
+  return StreamStrong(q, g, options, /*threads=*/1, options.dedup, sink,
+                      stats, prep, filter, csr, aux);
 }
 
 Result<std::vector<PerfectSubgraph>> MatchStrong(const Graph& q,
@@ -609,16 +614,30 @@ Result<std::vector<PerfectSubgraph>> MatchStrong(const Graph& q,
                                                  const DualFilterResult* filter,
                                                  const CsrGraph* csr,
                                                  const AuxGraphResult* aux) {
-  std::vector<PerfectSubgraph> results;
-  auto delivered = MatchStrongStream(
-      q, g, options,
-      [&results](PerfectSubgraph&& pg) {
-        results.push_back(std::move(pg));
-        return true;
-      },
-      stats, prep, filter, csr, aux);
-  if (!delivered.ok()) return delivered.status();
-  return results;
+  return CollectStrong(q, g, options, /*threads=*/1, stats, prep, filter, csr,
+                       aux);
+}
+
+Result<size_t> MatchStrongParallelStream(const Graph& q, const Graph& g,
+                                         const MatchOptions& options,
+                                         size_t num_threads,
+                                         const SubgraphSink& sink,
+                                         MatchStats* stats,
+                                         const PatternPrep* prep,
+                                         const DualFilterResult* filter,
+                                         const CsrGraph* csr,
+                                         const AuxGraphResult* aux) {
+  return StreamStrong(q, g, options, internal::ResolveThreads(num_threads),
+                      options.dedup, sink, stats, prep, filter, csr, aux);
+}
+
+Result<std::vector<PerfectSubgraph>> MatchStrongParallel(
+    const Graph& q, const Graph& g, const MatchOptions& options,
+    size_t num_threads, MatchStats* stats, const PatternPrep* prep,
+    const DualFilterResult* filter, const CsrGraph* csr,
+    const AuxGraphResult* aux) {
+  return CollectStrong(q, g, options, internal::ResolveThreads(num_threads),
+                       stats, prep, filter, csr, aux);
 }
 
 Result<std::vector<PerfectSubgraph>> MatchStrongPlus(const Graph& q,

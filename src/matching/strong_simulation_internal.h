@@ -1,6 +1,6 @@
-// Internal per-center pipeline shared by the sequential MatchStrong loop
-// and the multi-threaded executor (matching/parallel_match.h). Not part of
-// the public API.
+// Internal per-ball pipeline of plain strong simulation: the run state a
+// query's ball loop reads and the per-ball step the one ball executor
+// (matching/ball_executor.h) drives. Not part of the public API.
 
 #ifndef GPM_MATCHING_STRONG_SIMULATION_INTERNAL_H_
 #define GPM_MATCHING_STRONG_SIMULATION_INTERNAL_H_
@@ -11,7 +11,6 @@
 
 #include "common/arena.h"
 #include "common/bitset.h"
-#include "common/timer.h"
 #include "matching/ball.h"
 #include "matching/sim_refiner.h"
 #include "matching/strong_simulation.h"
@@ -30,13 +29,13 @@ struct MatchContext {
   MatchOptions options;
 };
 
-/// Per-run preprocessing shared by the sequential and multi-threaded
-/// executors: the effective pattern (original, prep quotient, or a locally
-/// computed quotient), ball radius, global dual-filter bitmaps, and the
-/// surviving center list. Built once per (pattern, data, options) run from
+/// Per-run preprocessing of one plain query: the effective pattern
+/// (original, prep quotient, or a locally computed quotient), ball radius,
+/// global dual-filter bitmaps, the surviving center list, and the
+/// MatchContext over them. Built once per (pattern, data, options) run from
 /// an optional PatternPrep; owns (or, for a memoized filter, points into)
-/// the storage MatchContext uses, so both it and any reused
-/// DualFilterResult must stay alive (and unmoved) for the whole run.
+/// the storage `context` uses, so both it and any reused DualFilterResult
+/// must stay alive (and unmoved) for the whole run.
 struct RunState {
   Graph qmin_storage;                  // quotient computed here if prep lacks it
   std::vector<NodeId> class_of_storage;
@@ -51,10 +50,13 @@ struct RunState {
   uint32_t radius = 0;
   /// Dual filter proved Θ = ∅ (relation not total); skip the ball loop.
   bool proven_empty = false;
+  /// What ProcessBall reads; valid unless proven_empty.
+  MatchContext context;
 };
 
-/// Fills `state` from the prepared pattern (diameter + optional quotient)
-/// and runs the per-(pattern, data) global dual filter when
+/// Fills `state`, its context included, from the prepared pattern
+/// (diameter + optional quotient) and runs the per-(pattern, data) global
+/// dual filter when
 /// options.dual_filter is set — unless `filter` supplies a memoized
 /// ComputeDualFilter result for the same (q, g, options.minimize_query),
 /// in which case the state points into it and the fixpoint is skipped.
@@ -69,8 +71,7 @@ Status BuildRunState(const Graph& q, const Graph& g,
 /// ProcessBall lives here and is reused across balls, so a worker reaches
 /// its high-water allocation after the first few balls and then runs
 /// allocation-free. One instance per thread; contents are meaningless
-/// between balls. Callers that pass nullptr get a per-call local (correct
-/// but slow — the old behavior).
+/// between balls.
 struct MatchScratch {
   std::vector<std::vector<NodeId>> cand;  ///< per-query-node candidates
   std::vector<NodeId> seeds;              ///< border-node refinement seeds
@@ -84,36 +85,18 @@ struct MatchScratch {
   ScratchArena arena;  ///< flat match-graph adjacency per ball
 };
 
-/// The ball-reuse seam of ProcessCenter: the per-ball pipeline (candidate
-/// selection — projection under the dual filter, label classes otherwise —
-/// optional connectivity pruning, border-seeded dual refinement,
-/// ExtractMaxPG, relation expansion to the original pattern) on a ball the
-/// caller already built (Engine::MatchBatch builds each distinct
-/// (center, radius) ball once and runs this per interested request). The
-/// ball must come from a ball builder on the run's data graph with
+/// The per-ball pipeline (candidate selection — projection under the dual
+/// filter, label classes otherwise — optional connectivity pruning,
+/// border-seeded dual refinement, ExtractMaxPG, relation expansion to the
+/// original pattern) on a ball the caller already built: the step
+/// RunBallPrograms (matching/ball_executor.h) runs once per ball and
+/// program, sharing one build among every program that wants the ball.
+/// The ball must come from a ball builder on the run's data graph with
 /// context.radius. Accumulates per-center counters and refine_seconds into
 /// `stats`. Returns nullopt when the center yields no perfect subgraph.
 std::optional<PerfectSubgraph> ProcessBall(const MatchContext& context,
                                            const Ball& ball, MatchStats* stats,
-                                           MatchScratch* scratch = nullptr);
-
-/// Runs lines 2-5 of Fig. 3 for one center: ball construction (timed into
-/// stats->ball_build_seconds) followed by ProcessBall. Works on anything
-/// with a BallBuilderT-shaped Build(center, radius, ball) — the executors
-/// pass CsrBallBuilder over the run's CSR snapshot or AuxBallBuilder over
-/// the pruned auxiliary adjacency (matching/aux_graph.h); the distributed
-/// runtime still uses the adjacency-list BallBuilder.
-/// `builder`/`ball`/`scratch` are caller-owned per-thread scratch.
-template <typename BuilderT>
-std::optional<PerfectSubgraph> ProcessCenter(const MatchContext& context,
-                                             NodeId center, BuilderT* builder,
-                                             Ball* ball, MatchStats* stats,
-                                             MatchScratch* scratch = nullptr) {
-  Timer build_timer;
-  builder->Build(center, context.radius, ball);
-  stats->ball_build_seconds += build_timer.Seconds();
-  return ProcessBall(context, *ball, stats, scratch);
-}
+                                           MatchScratch* scratch);
 
 }  // namespace gpm::internal
 

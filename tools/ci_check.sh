@@ -6,6 +6,12 @@
 #   GPM_CI_SLOW=1 tools/ci_check.sh   # also run the slow-labeled suites
 #   GPM_CI_TSAN=1 tools/ci_check.sh   # ThreadSanitizer build + fast tests
 #   GPM_CI_ASAN=1 tools/ci_check.sh   # ASan+UBSan build + fast tests
+#
+# GPM_CI_SLOW=1 adds the slow-labeled suites in every mode, sanitizers
+# included: the randomized executor differential harnesses (parallel,
+# streaming, batch, incremental) are all slow-labeled, so
+# GPM_CI_TSAN=1 GPM_CI_SLOW=1 is what runs the multi-threaded ball loops
+# under ThreadSanitizer.
 #   GPM_CI_UPDATE_BASELINE=1 tools/ci_check.sh   # refresh the snapshots
 #
 # The perf gates compare each bench in GATED_BENCHES against its
@@ -24,7 +30,8 @@ GATED_BENCHES=(serving_path regex_scaling incremental_updates serving_load cross
 
 # TSan mode: a separate -DGPM_TSAN=ON build tree running the fast suite
 # (which includes the serving concurrency tests — the reason this mode
-# exists). Benches are skipped: their wall-clock under TSan says nothing.
+# exists), plus the slow suite under GPM_CI_SLOW=1. Benches are skipped:
+# their wall-clock under TSan says nothing.
 if [[ "${GPM_CI_TSAN:-0}" == "1" ]]; then
   TSAN_DIR="${GPM_TSAN_BUILD_DIR:-build-tsan}"
   echo "== TSan configure + build ($TSAN_DIR) =="
@@ -32,12 +39,16 @@ if [[ "${GPM_CI_TSAN:-0}" == "1" ]]; then
   cmake --build "$TSAN_DIR" -j >/dev/null
   echo "== TSan fast tests (ctest -L fast) =="
   ctest --test-dir "$TSAN_DIR" -L fast --output-on-failure -j "$(nproc)"
+  if [[ "${GPM_CI_SLOW:-0}" == "1" ]]; then
+    echo "== TSan slow tests (ctest -L slow) =="
+    ctest --test-dir "$TSAN_DIR" -L slow --output-on-failure -j "$(nproc)"
+  fi
   echo "ci_check: TSan OK"
   exit 0
 fi
 
 # ASan+UBSan mode: a separate -DGPM_ASAN=ON build tree running the fast
-# suite — lifetime/bounds coverage for the lock-free ring and the
+# suite (plus the slow suite under GPM_CI_SLOW=1) — lifetime/bounds coverage for the lock-free ring and the
 # per-worker scratch arenas, which TSan cannot see. Benches are skipped
 # for the same reason as under TSan.
 if [[ "${GPM_CI_ASAN:-0}" == "1" ]]; then
@@ -47,6 +58,10 @@ if [[ "${GPM_CI_ASAN:-0}" == "1" ]]; then
   cmake --build "$ASAN_DIR" -j >/dev/null
   echo "== ASan fast tests (ctest -L fast) =="
   ctest --test-dir "$ASAN_DIR" -L fast --output-on-failure -j "$(nproc)"
+  if [[ "${GPM_CI_SLOW:-0}" == "1" ]]; then
+    echo "== ASan slow tests (ctest -L slow) =="
+    ctest --test-dir "$ASAN_DIR" -L slow --output-on-failure -j "$(nproc)"
+  fi
   echo "ci_check: ASan OK"
   exit 0
 fi

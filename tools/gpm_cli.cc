@@ -23,7 +23,6 @@
 #include "api/algo_names.h"
 #include "api/engine.h"
 #include "common/string_util.h"
-#include "extensions/ranking.h"
 #include "extensions/regex_pattern.h"
 #include "graph/generator.h"
 #include "graph/graph_io.h"
@@ -73,7 +72,7 @@ int Usage() {
                "  gpm_cli stats FILE\n"
                "  gpm_cli extract --graph FILE --nodes N [--seed S] --out FILE\n"
                "  gpm_cli match --algo %s\n"
-               "          --pattern FILE --graph FILE [--top K]\n"
+               "          --pattern FILE --graph FILE\n"
                "          [--threads N] [--sites N] [--repeat R]\n"
                "          [--regex \"u-v:l{min,max}[+...][;...]\"]\n"
                "          (--regex runs regex-strong; l is an edge label\n"
@@ -259,13 +258,12 @@ int RunMatch(const Args& args) {
   const std::string algo = args.Get("algo", "strong+");
   const std::string pattern_path = args.Get("pattern", "");
   const std::string graph_path = args.Get("graph", "");
-  auto top_k = ParseUint64(args.Get("top", "0"));
   auto threads = ParseUint64(args.Get("threads", "0"));
   auto sites = ParseUint64(args.Get("sites", "0"));
   auto repeat = ParseUint64(args.Get("repeat", "1"));
   if (pattern_path.empty() || graph_path.empty())
     return Fail("--pattern and --graph are required");
-  if (!top_k.ok() || !threads.ok() || !sites.ok() || !repeat.ok() ||
+  if (!threads.ok() || !sites.ok() || !repeat.ok() ||
       *repeat == 0)
     return Fail("bad numeric flag");
   auto q = LoadGraph(pattern_path);
@@ -317,15 +315,12 @@ int RunMatch(const Args& args) {
     return 0;
   }
 
-  std::vector<PerfectSubgraph> shown = response->subgraphs;
-  if (*top_k > 0) shown = TopKMatches(*q, response->subgraphs, *top_k);
-  std::printf("%zu perfect subgraph(s) via %s policy (%.3fs)%s\n",
+  std::printf("%zu perfect subgraph(s) via %s policy (%.3fs)\n",
               response->subgraphs.size(),
-              ExecPolicyName(request->policy.kind), response->seconds,
-              *top_k > 0 ? " (showing top-ranked)" : "");
-  for (const PerfectSubgraph& pg : shown) {
-    std::printf("  center %u: %zu nodes, %zu edges, score %.3f\n", pg.center,
-                pg.nodes.size(), pg.edges.size(), ScoreMatch(*q, pg));
+              ExecPolicyName(request->policy.kind), response->seconds);
+  for (const PerfectSubgraph& pg : response->subgraphs) {
+    std::printf("  center %u: %zu nodes, %zu edges\n", pg.center,
+                pg.nodes.size(), pg.edges.size());
   }
   if (*repeat > 1) PrintCacheStats(engine);
   return 0;
